@@ -88,7 +88,9 @@ def _run_vectorized(graph, slots: int, batch: int) -> float:
     construction, mirroring :func:`_run`, which also excludes program
     and engine construction.  Trial seeds start at the reference run's
     seed 1, so ``batch=1`` times the exact same run the reference
-    backend does.
+    backend does.  Runs that draw more than 32 coins per stream pay
+    the stream bank's first-generation twist inside the timed ``run()``,
+    since the bank fills its doubles on first draw.
     """
     from repro.sim.vectorized import AlohaBatch
 

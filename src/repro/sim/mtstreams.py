@@ -15,9 +15,17 @@ streams at once:
   words (one word when the high half is zero, two otherwise).
 * :class:`MTStreams` serves ``random.random()`` values stream by
   stream.  State lives in a ``(624, S)`` uint32 matrix (row-major over
-  the Mersenne index, so the twist works on contiguous rows); each
-  twist of a stream yields a block of 312 doubles via the standard
-  temper + 53-bit extraction ``((a >> 5) * 2^26 + (b >> 6)) / 2^53``.
+  the Mersenne index, so the twist works on contiguous rows); doubles
+  come from the standard temper + 53-bit extraction
+  ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` over pairs of state words.
+
+Most streams draw only a handful of coins, so a bank pays for a
+stream's doubles only once some stream needs them.  First-generation
+output word ``j < 227`` reads only the seeded words ``j``, ``j + 1``
+and ``j + 397``, so the first :data:`PREFIX` doubles of every stream
+come straight from the seeded state, with no twist.  The whole-bank
+twist runs only when some stream draws past them; after that each
+stream refills its own 312-double block as it runs dry.
 
 Streams advance independently: a node that flips no coin this slot
 consumes nothing, which is what keeps the per-node draw *order* — the
@@ -42,6 +50,12 @@ _N = 624  # MT19937 state words
 _M = 397  # twist offset
 #: random() values produced per twist (two state words per double).
 BLOCK = _N // 2
+#: First-generation doubles served from the seeded state, before any
+#: twist.  At most 113: word ``j`` needs no twisted word while ``j < 227``.
+PREFIX = 32
+#: Elements per chunk of the twist and the extraction (128 KB of words):
+#: whole-matrix temporaries would be fresh pages, faulted in on each use.
+_CHUNK = 1 << 15
 
 
 def _base_state() -> np.ndarray:
@@ -63,69 +77,111 @@ def init_streams(seeds) -> np.ndarray:
     ``seeds`` are the non-negative 64-bit ints :func:`repro.rng.derive_seed`
     produces.  CPython splits such a seed into 32-bit words little-endian
     and feeds them to ``init_by_array``; a seed below 2**32 uses a
-    one-word key, which the two-word recurrence reproduces by selecting
-    the one-word term stream-wise (``keylen2`` mask).
+    one-word key, which the two-word recurrence reproduces by adding the
+    one-word term on odd steps too (the second of the two key terms).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     key0 = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     key1 = (seeds >> np.uint64(32)).astype(np.uint32)
-    keylen2 = key1 != 0
     mt = np.repeat(_BASE[:, None], len(seeds), axis=1)
+    rows = list(mt)  # row views, indexed without re-slicing each step
+    tmp = np.empty(len(seeds), dtype=np.uint32)
+    rshift = np.right_shift
     i = 1
     jmod = 0
-    # key[j] + j for the two-word streams; one-word streams always add
-    # key[0] + 0 (j stays 0 when keylen == 1).
-    term2 = [key0.copy(), key1 + _U32(1)]
     with np.errstate(over="ignore"):
+        # key[j] + j, alternating j = 0, 1 for two-word keys; one-word
+        # keys keep j at 0 and always add key[0].
+        terms = (key0, np.where(key1 != 0, key1 + _U32(1), key0))
         for _ in range(_N):
-            term = np.where(keylen2, term2[jmod], key0)
-            prev = mt[i - 1]
-            mt[i] = (mt[i] ^ ((prev ^ (prev >> _U32(30))) * _U32(1664525))) + term
+            prev = rows[i - 1]
+            row = rows[i]
+            rshift(prev, 30, out=tmp)
+            tmp ^= prev
+            tmp *= 1664525
+            row ^= tmp
+            row += terms[jmod]
             i += 1
             jmod ^= 1
             if i >= _N:
-                mt[0] = mt[_N - 1]
+                rows[0][:] = rows[_N - 1]
                 i = 1
         for _ in range(_N - 1):
-            prev = mt[i - 1]
-            mt[i] = (mt[i] ^ ((prev ^ (prev >> _U32(30))) * _U32(1566083941))) - _U32(i)
+            prev = rows[i - 1]
+            row = rows[i]
+            rshift(prev, 30, out=tmp)
+            tmp ^= prev
+            tmp *= 1566083941
+            row ^= tmp
+            row -= i
             i += 1
             if i >= _N:
-                mt[0] = mt[_N - 1]
+                rows[0][:] = rows[_N - 1]
                 i = 1
     mt[0] = 0x80000000
-    return np.ascontiguousarray(mt)
+    return mt
+
+
+def _mix(upper: np.ndarray, lower: np.ndarray, dep: np.ndarray) -> np.ndarray:
+    """The twist recurrence for words whose three inputs are ready."""
+    with np.errstate(over="ignore"):
+        y = (upper & _UPPER) | (lower & _LOWER)
+        # (y & 1) * A == A where the low bit is set, 0 elsewhere.
+        return dep ^ (y >> _U32(1)) ^ ((y & _U32(1)) * _MATRIX_A)
+
+
+def _chunk_rows(streams: int, cap: int) -> int:
+    """Rows per chunk so a chunk's temporaries stay cache-sized."""
+    return max(1, min(cap, _CHUNK // max(1, streams)))
 
 
 def _twist(mt: np.ndarray) -> None:
     """Advance every stream one generation, in place.
 
-    Chunks stay <= 227 wide so each reads only state already final for
-    this generation (the dependency ``mt[i + 397]`` crosses into the new
-    state from index 227 on).
+    Rows are rewritten in the generator's own word order, a chunk at a
+    time.  Word ``i`` reads word ``i + 1`` (not yet rewritten) and word
+    ``i + 397 mod 624``, which is still old below 227 and already new
+    from 227 on; chunks never straddle 227 and are at most 227 rows, so
+    no chunk reads a row it writes.
     """
-    mtn = np.empty_like(mt)
-    with np.errstate(over="ignore"):
-        for lo, hi in ((0, 227), (227, 454), (454, _N - 1)):
-            y = (mt[lo:hi] & _UPPER) | (mt[lo + 1 : hi + 1] & _LOWER)
-            dep = mt[lo + _M : hi + _M] if hi + _M <= _N else mtn[lo + _M - _N : hi + _M - _N]
-            # (y & 1) * A == A where the low bit is set, 0 elsewhere.
-            mtn[lo:hi] = dep ^ (y >> _U32(1)) ^ ((y & _U32(1)) * _MATRIX_A)
-        y = (mt[_N - 1] & _UPPER) | (mtn[0] & _LOWER)
-        mtn[_N - 1] = mtn[_M - 1] ^ (y >> _U32(1)) ^ ((y & _U32(1)) * _MATRIX_A)
-    mt[:] = mtn
+    step = _chunk_rows(mt.shape[1], _N - _M)
+    for start, stop in ((0, _N - _M), (_N - _M, _N - 1)):
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            dep = mt[lo + _M : hi + _M] if lo < _N - _M else mt[lo + _M - _N : hi + _M - _N]
+            mt[lo:hi] = _mix(mt[lo:hi], mt[lo + 1 : hi + 1], dep)
+    mt[_N - 1] = _mix(mt[_N - 1], mt[0], mt[_M - 1])
 
 
-def _extract(mt: np.ndarray) -> np.ndarray:
-    """Temper a twisted state and pack it into ``(312, S)`` doubles."""
+def _extract(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Temper ``2k`` twisted state words into ``out``'s ``(k, S)`` doubles."""
+    step = _chunk_rows(words.shape[1], len(out))
     with np.errstate(over="ignore"):
-        w = mt ^ (mt >> _U32(11))
-        w ^= (w << _U32(7)) & _U32(0x9D2C5680)
-        w ^= (w << _U32(15)) & _U32(0xEFC60000)
-        w ^= w >> _U32(18)
-    a = (w[0::2] >> _U32(5)).astype(np.float64)
-    b = (w[1::2] >> _U32(6)).astype(np.float64)
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        for lo in range(0, len(out), step):
+            hi = min(lo + step, len(out))
+            w = words[2 * lo : 2 * hi]
+            w = w ^ (w >> _U32(11))
+            w ^= (w << _U32(7)) & _U32(0x9D2C5680)
+            w ^= (w << _U32(15)) & _U32(0xEFC60000)
+            w ^= w >> _U32(18)
+            dst = out[lo:hi]
+            np.multiply(w[0::2] >> _U32(5), 67108864.0, out=dst)
+            dst += w[1::2] >> _U32(6)
+            dst *= 1.0 / 9007199254740992.0
+    return out
+
+
+def _fill_prefix(mt: np.ndarray, out: np.ndarray) -> None:
+    """First-generation doubles into ``out`` (at most 113 rows), untwisted.
+
+    ``mt`` is the seeded state; it is read, not advanced.
+    """
+    step = _chunk_rows(mt.shape[1], len(out))
+    for lo in range(0, len(out), step):
+        hi = min(lo + step, len(out))
+        w0, w1 = 2 * lo, 2 * hi
+        words = _mix(mt[w0:w1], mt[w0 + 1 : w1 + 1], mt[_M + w0 : _M + w1])
+        _extract(words, out[lo:hi])
 
 
 class MTStreams:
@@ -133,10 +189,18 @@ class MTStreams:
 
     ``draw(idx)`` returns, for each stream index in ``idx``, the next
     value its ``random.random()`` would produce.  Only the streams in
-    ``idx`` advance.  Exhausted streams are refilled a 312-value block
-    at a time; when every stream needs refilling at once the twist runs
-    over the whole contiguous state matrix (the fast path on the first
-    draw), otherwise only the needed columns are gathered.
+    ``idx`` advance.
+
+    Construction only seeds the state.  The bank's first generation is
+    filled for every stream at once, in two steps, each taken when the
+    first stream reaches the fill frontier (the count of doubles every
+    stream has filled): the :data:`PREFIX` doubles that need no twist,
+    then one contiguous whole-bank twist for the rest of the block.
+    Past the first generation a stream that runs dry refills its own
+    312-double block; when every stream runs dry at once the twist runs
+    over the whole contiguous state matrix, otherwise only the needed
+    columns are gathered.  The buffer is allocated up front, but its
+    pages are touched only as rows are filled.
     """
 
     def __init__(self, seeds) -> None:
@@ -144,13 +208,7 @@ class MTStreams:
         self._count = self._mt.shape[1]
         self._buf = np.empty((BLOCK, self._count), dtype=np.float64)
         self._pos = np.zeros(self._count, dtype=np.int64)
-        # Fill every stream's first block now, while the whole state
-        # matrix can be twisted contiguously in one pass.  Streams begin
-        # drawing at scattered slots; lazily filling each on first draw
-        # would splinter this into many gather-refills, which cost ~6x
-        # more per stream than the full-matrix path.
-        _twist(self._mt)
-        self._buf[:] = _extract(self._mt)
+        self._frontier = 0
 
     def __len__(self) -> int:
         return self._count
@@ -158,7 +216,7 @@ class MTStreams:
     def draw(self, idx: np.ndarray) -> np.ndarray:
         """Next ``random.random()`` value of each stream in ``idx``."""
         pos = self._pos
-        need = idx[pos[idx] >= BLOCK]
+        need = idx[pos[idx] >= self._frontier]
         if need.size:
             self._refill(need)
         vals = self._buf[pos[idx], idx]
@@ -166,12 +224,21 @@ class MTStreams:
         return vals
 
     def _refill(self, idx: np.ndarray) -> None:
-        if idx.size == self._count:
-            _twist(self._mt)
-            self._buf[:] = _extract(self._mt)
+        mt = self._mt
+        if self._frontier == 0:
+            _fill_prefix(mt, self._buf[:PREFIX])
+            self._frontier = PREFIX
+        elif self._frontier == PREFIX:
+            _twist(mt)
+            _extract(mt[2 * PREFIX :], self._buf[PREFIX:])
+            self._frontier = BLOCK
+        elif idx.size == self._count:
+            _twist(mt)
+            _extract(mt, self._buf)
+            self._pos[:] = 0
         else:
-            cols = self._mt[:, idx]  # fancy index -> contiguous copy
+            cols = mt[:, idx]  # fancy index -> contiguous copy
             _twist(cols)
-            self._mt[:, idx] = cols
-            self._buf[:, idx] = _extract(cols)
-        self._pos[idx] = 0
+            mt[:, idx] = cols
+            self._buf[:, idx] = _extract(cols, np.empty((BLOCK, idx.size)))
+            self._pos[idx] = 0

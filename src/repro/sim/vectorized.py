@@ -68,7 +68,8 @@ __all__ = [
 Node = Hashable
 
 #: Default stream budget per sub-batch of the convenience runners: the
-#: MT state bank costs ~5 KB per stream, so 32k streams ≈ 160 MB.
+#: MT state bank holds 2.5 KB of state per stream (32k streams ≈ 80 MB);
+#: its 2.5 KB per-stream double buffer adds pages only as they are filled.
 _STREAM_BUDGET = 32768
 
 
