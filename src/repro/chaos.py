@@ -448,10 +448,8 @@ def chaos_tasks(config: ChaosConfig) -> list[tuple[str, int, ChaosConfig]]:
 
     Execution knobs (jobs, task_timeout, backend) do not define the
     campaign: they are stripped from the task payloads so the journal
-    fingerprint — and thus ``--resume``, and the fabric's lease-store
-    campaign identity — is stable across worker counts and engine
-    backends.  Shared by :func:`run_chaos_campaign` and the distributed
-    fabric's ``chaos`` spec (:mod:`repro.fabric.specs`).
+    fingerprint — and thus ``--resume`` — is stable across worker
+    counts and engine backends.
     """
     trial_config = replace(config, jobs=None, task_timeout=None, backend=None)
     tasks: list[tuple[str, int, ChaosConfig]] = []

@@ -27,29 +27,12 @@ Subcommands:
   causal slot provenance ("why didn't node v receive in slot t?"),
   and ``export`` a log as a Chrome/Perfetto trace
   (``--chrome-trace``).
-* ``fabric`` — the crash-safe distributed campaign fabric
-  (:mod:`repro.fabric`): ``run`` a registered campaign spec across N
-  worker subprocesses coordinating through a shared SQLite lease
-  store (optionally under a ``--fault-plan``), ``worker`` is the
-  subprocess entry point, ``chaos`` runs the self-verification
-  harness — a seeded fault plan kills/stalls real workers and the
-  spliced results are asserted byte-identical to a serial run with
-  zero fencing violations — and ``autopsy`` reconstructs a finished
-  (or crashed) campaign's lease/fence/takeover timeline from the
-  store's audit log and verifies the fencing contract post hoc.
 * ``perf`` — the performance plane (:mod:`repro.perf`): ``record``
   runs any repro command under the wall-clock sampling profiler and
   writes folded stacks plus a self-contained flamegraph HTML,
   ``flame`` renders a ``.folded`` file or a telemetry log's
   ``perf_profile`` records, and ``diff`` reports per-frame share
   drift between two profiles.
-* ``fleet`` — fleet observability (:mod:`repro.fleet`): ``board``
-  follows the lease store plus every worker's telemetry log with
-  per-worker health lanes under the conformance SLO gates, ``trace``
-  merges coordinator + worker logs into one Chrome/Perfetto trace
-  with a process lane per worker, and ``metrics`` reconstructs the
-  campaign's metrics registry from ``metrics`` snapshot records and
-  prints the Prometheus text exposition.
 
 Every command takes ``--seed`` and is fully reproducible.  The
 experiment-style commands additionally take ``--jobs N`` (or honour
@@ -77,8 +60,8 @@ Observability (see :mod:`repro.telemetry`):
 * ``--perf`` (same commands) attaches the sampling profiler
   (:mod:`repro.perf`): folded wall-clock stacks plus traced memory
   per span land in the telemetry log as ``perf_profile`` /
-  ``perf_span`` events (pool and fabric workers sample themselves via
-  the inherited ``REPRO_PERF`` gate), ``--perf-hz`` tunes the rate and
+  ``perf_span`` events (pool workers sample themselves via the
+  inherited ``REPRO_PERF`` gate), ``--perf-hz`` tunes the rate and
   ``--perf-out BASE`` writes ``BASE.folded`` + a flamegraph
   ``BASE.html``.
 """
@@ -832,391 +815,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown perf subcommand {args.perf_command!r}")
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    """``--param key=value`` pairs; values parse as JSON, else strings."""
-    import json
-
-    params: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--param {pair!r} is not key=value")
-        key, raw = pair.split("=", 1)
-        try:
-            params[key] = json.loads(raw)
-        except ValueError:
-            params[key] = raw
-    return params
-
-
-def _fabric_fault_plan(args: argparse.Namespace, worker_ids: list[str]):
-    """The plan from --fault-plan, else a seeded random one (chaos)."""
-    from repro.fabric.faultplan import FaultPlan
-
-    if getattr(args, "fault_plan", None):
-        return FaultPlan.parse(args.fault_plan)
-    if getattr(args, "random_faults", False):
-        return FaultPlan.random(
-            args.seed,
-            worker_ids,
-            kills=args.kills,
-            stalls=args.stalls,
-            stales=args.stales,
-            partitions=args.partitions,
-            max_ordinal=args.max_ordinal,
-            stall_duration=2.5 * args.lease_ttl,
-            partition_duration=2.5 * args.lease_ttl,
-        )
-    return FaultPlan()
-
-
-def _fleet_stream_label(path) -> str:
-    """Worker id from a ``<store>.<worker>.telemetry.jsonl`` name, else
-    ``""`` (the coordinator lane)."""
-    from pathlib import Path
-
-    parts = Path(path).name.split(".")
-    if len(parts) >= 4 and parts[-2:] == ["telemetry", "jsonl"]:
-        return parts[-3]
-    return ""
-
-
-def _resolve_store_campaign(store_path, prefix: str | None) -> str | None:
-    """Expand a campaign fingerprint prefix against the lease store.
-
-    Returns the full fingerprint, or ``None`` when it cannot be
-    resolved unambiguously (caller decides whether that is fatal).
-    """
-    if not store_path.exists():
-        return None
-    from repro.fabric.store import LeaseStore
-
-    lease_store = LeaseStore(store_path)
-    try:
-        rows = lease_store.conn.execute(
-            "SELECT fingerprint FROM campaigns ORDER BY id"
-        ).fetchall()
-    finally:
-        lease_store.close()
-    fingerprints = [str(row["fingerprint"]) for row in rows]
-    if prefix is None:
-        return fingerprints[0] if len(fingerprints) == 1 else None
-    matches = [f for f in fingerprints if f.startswith(prefix)]
-    return matches[0] if len(matches) == 1 else prefix
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Dispatch ``fleet board|trace|metrics``."""
-    import json
-    from pathlib import Path
-
-    from repro.errors import ExperimentError
-
-    try:
-        if args.fleet_command == "board":
-            from repro.fleet.board import FleetBoard, follow_fleet
-            from repro.monitor import BoardRenderer, MonitorConfig
-            from repro.monitor.live import LiveMonitor
-
-            store_path = Path(args.store)
-            campaign = _resolve_store_campaign(store_path, args.campaign)
-            if campaign is None:
-                raise SystemExit(
-                    "fleet board: pass --campaign (the store is missing, "
-                    "empty, or holds several campaigns)"
-                )
-            logs = [Path(p) for p in args.log]
-            if not args.no_auto_logs:
-                parent = store_path.parent or Path(".")
-                for found in sorted(
-                    parent.glob(f"{store_path.name}.*.telemetry.jsonl")
-                ):
-                    if found not in logs:
-                        logs.append(found)
-            renderer_factory = None
-            if not args.json:
-                renderer_factory = lambda board: BoardRenderer(  # noqa: E731
-                    board, interval=args.interval,
-                    plain=True if args.plain else None,
-                )
-            live = LiveMonitor(
-                MonitorConfig(epsilon=args.epsilon),
-                board=FleetBoard(),
-                renderer_factory=renderer_factory,
-            )
-            for record in follow_fleet(
-                args.store, campaign, logs=logs, idle_timeout=args.idle_timeout
-            ):
-                live.ingest(record)
-            report = live.finish()
-            if args.json:
-                print(json.dumps(report.to_json(), indent=2, sort_keys=True,
-                                 default=repr))
-            else:
-                print()
-                for line in live.board.lines():
-                    print(line)
-                if report.alerts:
-                    print(f"{len(report.alerts)} conformance alert(s) fired:")
-                    for alert in report.alerts:
-                        print(f"  ! {alert.describe()}")
-            return 1 if (args.gate and report.gate_failed) else 0
-
-        if args.fleet_command == "trace":
-            from repro.monitor.chrome_trace import (
-                merge_records,
-                validate_chrome_trace,
-                write_chrome_trace,
-            )
-            from repro.monitor.tail import read_log_records
-
-            streams: dict[str, list] = {}
-            for path in args.logs:
-                label = _fleet_stream_label(path)
-                streams.setdefault(label, []).extend(read_log_records(path))
-            trace = write_chrome_trace(merge_records(streams), args.out)
-            errors = validate_chrome_trace(trace)
-            if errors:
-                raise SystemExit(
-                    f"fleet trace: merged trace failed validation: {errors[0]}"
-                )
-            print(f"wrote {args.out} ({len(trace['traceEvents'])} trace "
-                  f"events from {len(args.logs)} log(s))")
-            return 0
-
-        if args.fleet_command == "metrics":
-            from repro.fleet.metrics import MetricsRegistry, registry_from_snapshot
-            from repro.monitor.tail import read_log_records
-
-            registry = MetricsRegistry()
-            snapshots = 0
-            for path in args.logs:
-                for record in read_log_records(path):
-                    if record.get("kind") == "metrics" and isinstance(
-                        record.get("snapshot"), dict
-                    ):
-                        registry_from_snapshot(record["snapshot"], into=registry)
-                        snapshots += 1
-            if not snapshots:
-                # Bad invocation (wrong logs), not a metrics verdict:
-                # exit 2, same contract as obs trend/perf --check.
-                print(
-                    "fleet metrics: no 'metrics' snapshot records in the "
-                    "given log(s)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(2)
-            if args.prom:
-                registry.write_prometheus(args.prom)
-                print(f"wrote {args.prom} ({snapshots} snapshot(s) merged)")
-            if args.json:
-                print(json.dumps(registry.snapshot(), indent=2, sort_keys=True,
-                                 default=repr))
-            elif not args.prom:
-                print(registry.prometheus_text(), end="")
-            return 0
-    except ExperimentError as exc:
-        raise SystemExit(f"fleet {args.fleet_command}: {exc}")
-    raise SystemExit(f"unknown fleet subcommand {args.fleet_command!r}")
-
-
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ExperimentError
-
-    try:
-        if args.fabric_command == "autopsy":
-            from pathlib import Path
-
-            from repro.fleet.autopsy import (
-                autopsy,
-                land_autopsy,
-                render_autopsy_html,
-            )
-
-            report = autopsy(
-                args.store,
-                args.campaign,
-                journal=args.journal,
-                telemetry_log=args.telemetry_log,
-            )
-            if args.html:
-                Path(args.html).write_text(
-                    render_autopsy_html(report), encoding="utf-8"
-                )
-            if args.autopsy_obs_db:
-                from repro.obs import RunStore
-
-                with RunStore(args.autopsy_obs_db) as obs_store:
-                    run_id = land_autopsy(report, obs_store)
-            if args.json:
-                print(json.dumps(report.to_json(), indent=2, sort_keys=True,
-                                 default=repr))
-            else:
-                print(report.render())
-                if args.html:
-                    print(f"html timeline: {args.html}")
-                if args.autopsy_obs_db:
-                    print(f"obs store: landed as run {run_id} in "
-                          f"{args.autopsy_obs_db}")
-            return 0 if report.passed else 1
-
-        if args.fabric_command == "worker":
-            from repro.fabric.faultplan import FaultPlan
-            from repro.fabric.worker import WorkerConfig, run_worker
-
-            if args.fault_plan_json:
-                plan = FaultPlan.from_json(args.fault_plan_json)
-            elif args.fault_plan:
-                plan = FaultPlan.parse(args.fault_plan)
-            else:
-                plan = FaultPlan()
-            return run_worker(WorkerConfig(
-                store=args.store,
-                campaign=args.campaign,
-                worker_id=args.worker_id,
-                lease_ttl=args.lease_ttl,
-                poll_interval=args.poll_interval,
-                stale_timeout=args.stale_timeout,
-                fault_plan=plan,
-            ))
-
-        from repro.fabric.coordinator import FabricConfig
-
-        worker_ids = [f"w{index}" for index in range(args.workers)]
-        params = _parse_params(args.param)
-        config = FabricConfig(
-            spec=args.spec,
-            params=params,
-            store=args.store,
-            workers=args.workers,
-            chunksize=args.chunksize,
-            lease_ttl=args.lease_ttl,
-            stale_timeout=args.stale_timeout,
-            fault_plan=_fabric_fault_plan(args, worker_ids),
-            journal=getattr(args, "journal", None),
-            timeout=args.timeout,
-        )
-
-        if args.fabric_command == "chaos":
-            from repro.fabric.verify import verify_fabric
-
-            report = verify_fabric(config)
-            if args.json:
-                print(json.dumps(
-                    {
-                        "passed": report.passed,
-                        "byte_identical": report.byte_identical,
-                        "fencing_errors": report.fencing_errors,
-                        "visibility_errors": report.visibility_errors,
-                        "fault_plan": config.fault_plan.spec(),
-                        "takeovers": report.result.takeovers,
-                        "fence_rejects": report.result.fence_rejects,
-                        "chunks": report.result.chunks,
-                        "wall_s": report.result.wall_s,
-                        "worker_exits": report.result.worker_exits,
-                    },
-                    indent=2, sort_keys=True, default=repr,
-                ))
-            else:
-                print(report.render())
-            return 0 if report.passed else 1
-
-        # fabric run
-        from repro.fabric.coordinator import run_fabric
-        from repro.fabric.specs import resolve_spec
-
-        chrome_trace = getattr(args, "chrome_trace", None)
-        telemetry_path = getattr(args, "telemetry", None)
-        # Fleet mode: per-worker telemetry logs feed the merged trace
-        # and the autopsy cross-check; on automatically whenever any
-        # fleet output is requested.
-        config.worker_telemetry = bool(
-            getattr(args, "worker_telemetry", False)
-            or telemetry_path
-            or chrome_trace
-        )
-        config.prom = getattr(args, "prom", None)
-        config.tower_port = getattr(args, "tower", None)
-        if config.tower_port is not None:
-            # The tower follows <store>.<worker>.telemetry.jsonl logs;
-            # make sure the workers actually write them.
-            config.worker_telemetry = True
-
-        result = run_fabric(config)
-        print(result.summary())
-        if result.tower_port is not None:
-            print(f"tower: served on http://127.0.0.1:{result.tower_port} "
-                  f"(drained)")
-        spec = resolve_spec(config.spec, config.params)
-        code = 0
-        if spec.summarize is not None:
-            text, ok = spec.summarize(result.results)
-            print()
-            print(text)
-            code = 0 if ok else 1
-        if result.journal is not None:
-            print(f"journal: {result.journal} (resumable by resilient_map)")
-        if result.trace_id is not None and (telemetry_path or chrome_trace):
-            print(f"trace: {result.trace_id}")
-        if result.prom is not None:
-            print(f"prometheus: {result.prom}")
-        if chrome_trace:
-            from pathlib import Path
-
-            from repro.monitor.chrome_trace import (
-                merge_records,
-                validate_chrome_trace,
-                write_chrome_trace,
-            )
-            from repro.monitor.tail import read_log_records
-
-            streams: dict[str, list] = {}
-            if telemetry_path:
-                streams[""] = read_log_records(telemetry_path)
-            for worker_id, log in sorted(result.worker_logs.items()):
-                if Path(log).exists():
-                    streams[worker_id] = read_log_records(log)
-            trace = write_chrome_trace(merge_records(streams), chrome_trace)
-            trace_errors = validate_chrome_trace(trace)
-            if trace_errors:
-                raise SystemExit(
-                    f"fabric run: merged trace failed validation: "
-                    f"{trace_errors[0]}"
-                )
-            print(f"chrome trace: {chrome_trace} "
-                  f"({len(trace['traceEvents'])} events merged from "
-                  f"{len(streams)} process stream(s))")
-        return code
-    except ExperimentError as exc:
-        raise SystemExit(f"fabric {args.fabric_command}: {exc}")
-
-
-def _cmd_tower(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.errors import ExperimentError
-    from repro.tower import TowerConfig, run_tower
-
-    try:
-        config = TowerConfig(
-            host=args.host,
-            port=args.port,
-            obs_db=args.tower_obs_db,
-            follow=[Path(p) for p in args.follow],
-            follow_pattern=args.pattern,
-            webhooks=list(args.webhook),
-            dead_letter=args.dead_letter,
-            queue_size=args.queue_size,
-            heartbeat=args.heartbeat,
-            poll_interval=args.poll_interval,
-            port_file=args.port_file,
-        )
-        return run_tower(config)
-    except ExperimentError as exc:
-        raise SystemExit(f"tower: {exc}")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import build_report
 
@@ -1284,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--perf", action="store_true",
             help="run under the sampling profiler (repro.perf): wall-clock "
                  "stacks plus traced memory per span land in the telemetry "
-                 "log as 'perf_profile'/'perf_span' events; pool and fabric "
+                 "log as 'perf_profile'/'perf_span' events; pool "
                  "workers inherit the session via $REPRO_PERF",
         )
         p.add_argument(
@@ -1514,9 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="node label as printed (e.g. 5, or '(1, 2)')")
     p_explain.add_argument("--slot", default=None, type=int)
     p_explain.add_argument("--fabric", action="store_true",
-                           help="print the run's fabric/fleet aggregates "
-                                "(lease audit counts, registry totals) "
-                                "instead of slot provenance")
+                           help="print the run's campaign aggregates "
+                                "(alert and chaos-trial counts; fabric/fleet "
+                                "counts in runs ingested from old fabric "
+                                "logs) instead of slot provenance")
     # dest avoids main()'s --perf session wiring: this flag selects what
     # to print, it does not ask to profile the explain command itself.
     p_explain.add_argument("--perf", dest="perf_aggregates",
@@ -1616,278 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="rows to show, biggest growth first")
     p_perf_diff.add_argument("--json", action="store_true")
     p_perf_diff.set_defaults(func=_cmd_perf)
-
-    p_fab = sub.add_parser(
-        "fabric",
-        help="crash-safe distributed campaign fabric: lease-fenced worker "
-             "subprocesses over a shared SQLite store",
-    )
-    fab_sub = p_fab.add_subparsers(dest="fabric_command", required=True)
-
-    def add_fabric_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store", default="fabric.db", metavar="DB",
-                       help="shared SQLite lease store (created if missing); "
-                            "per-worker logs land next to it")
-        p.add_argument("--lease-ttl", type=float, default=2.0,
-                       help="seconds a chunk lease survives without a "
-                            "heartbeat before any worker may take it over")
-        p.add_argument("--stale-timeout", type=float, default=30.0,
-                       help="how long a 'stale' fault waits to be superseded "
-                            "before giving up on demonstrating the rejection")
-
-    def add_fabric_campaign(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--spec", default="slow-squares",
-                       help="registered campaign spec "
-                            "(squares, slow-squares, chaos, ...)")
-        p.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="spec parameter (repeatable); values parse as "
-                            "JSON, e.g. --param n=24 --param delay=0.05")
-        p.add_argument("--workers", type=int, default=3,
-                       help="worker subprocesses (0 = coordinator only)")
-        p.add_argument("--chunksize", type=int, default=None,
-                       help="items per chunk lease (default: derived from "
-                            "item count and worker count)")
-        p.add_argument("--timeout", type=float, default=300.0,
-                       help="overall campaign deadline in seconds")
-        p.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="harness faults to inject, e.g. "
-                            "'kill@w1#0,stall@w0#1=3.0,stale@w2#0' "
-                            "(see repro.fabric.faultplan)")
-
-    p_fab_run = fab_sub.add_parser(
-        "run", help="run a campaign spec across worker subprocesses"
-    )
-    add_common(p_fab_run)
-    add_fabric_common(p_fab_run)
-    add_fabric_campaign(p_fab_run)
-    p_fab_run.add_argument("--journal", default=None, metavar="PATH",
-                           help="also write the spliced results as a "
-                                "resilient_map campaign journal "
-                                "(byte-identical, resumable)")
-    p_fab_run.add_argument("--prom", default=None, metavar="PATH",
-                           help="write the campaign's metrics registry as a "
-                                "Prometheus text exposition when it finishes")
-    p_fab_run.add_argument("--chrome-trace", default=None, metavar="PATH",
-                           help="merge the coordinator and per-worker "
-                                "telemetry logs into one Chrome/Perfetto "
-                                "trace with a process lane per worker "
-                                "(implies --worker-telemetry)")
-    p_fab_run.add_argument("--tower", type=int, default=None, nargs="?",
-                           const=0, metavar="PORT",
-                           help="serve a live observability tower for the "
-                                "campaign's lifetime: SSE /stream over the "
-                                "coordinator bus + worker logs, Prometheus "
-                                "/metrics, /dashboard (PORT omitted or 0 = "
-                                "ephemeral; the bound port lands in "
-                                "<store>.tower.port)")
-    p_fab_run.add_argument("--worker-telemetry", action="store_true",
-                           help="give each worker its own telemetry log at "
-                                "<store>.<worker>.telemetry.jsonl, stamped "
-                                "with the campaign trace (automatic with "
-                                "--telemetry or --chrome-trace)")
-    add_observability(p_fab_run)
-    p_fab_run.set_defaults(func=_cmd_fabric)
-
-    p_fab_worker = fab_sub.add_parser(
-        "worker", help="one fabric worker process (spawned by 'fabric run')"
-    )
-    p_fab_worker.add_argument("--store", required=True)
-    p_fab_worker.add_argument("--campaign", required=True,
-                              help="campaign fingerprint in the lease store")
-    p_fab_worker.add_argument("--worker-id", required=True)
-    p_fab_worker.add_argument("--lease-ttl", type=float, default=2.0)
-    p_fab_worker.add_argument("--poll-interval", type=float, default=0.1)
-    p_fab_worker.add_argument("--stale-timeout", type=float, default=30.0)
-    p_fab_worker.add_argument("--fault-plan", default=None)
-    p_fab_worker.add_argument("--fault-plan-json", default=None,
-                              help="serialized per-worker fault sub-plan "
-                                   "(coordinator internal)")
-    p_fab_worker.add_argument("--telemetry", default=None, metavar="PATH",
-                              help="stream this worker's events to PATH; the "
-                                   "coordinator's trace context (inherited "
-                                   "via the environment) stamps every record")
-    p_fab_worker.set_defaults(func=_cmd_fabric)
-
-    p_fab_chaos = fab_sub.add_parser(
-        "chaos",
-        help="self-verification: run the campaign under a seeded fault plan "
-             "and assert byte-identical results with sound fencing",
-    )
-    add_common(p_fab_chaos)
-    add_fabric_common(p_fab_chaos)
-    add_fabric_campaign(p_fab_chaos)
-    p_fab_chaos.add_argument("--kills", type=int, default=1,
-                             help="workers to kill -9 mid-chunk (seeded plan)")
-    p_fab_chaos.add_argument("--stalls", type=int, default=1,
-                             help="workers to stall past their lease")
-    p_fab_chaos.add_argument("--stales", type=int, default=1,
-                             help="stale-commit attempts to force")
-    p_fab_chaos.add_argument("--partitions", type=int, default=0,
-                             help="store-partition windows to inject")
-    p_fab_chaos.add_argument("--max-ordinal", type=int, default=1,
-                             help="latest per-worker chunk ordinal a random "
-                                  "fault may target")
-    p_fab_chaos.add_argument("--json", action="store_true",
-                             help="emit the machine-readable verdict")
-    add_observability(p_fab_chaos)
-    p_fab_chaos.set_defaults(func=_cmd_fabric, random_faults=True)
-
-    p_fab_autopsy = fab_sub.add_parser(
-        "autopsy",
-        help="reconstruct a finished (or crashed) campaign's lease/fence/"
-             "takeover timeline from the store's audit log, verify the "
-             "fencing contract, and cross-check the journal splice",
-    )
-    p_fab_autopsy.add_argument("--store", default="fabric.db", metavar="DB",
-                               help="the campaign's SQLite lease store")
-    p_fab_autopsy.add_argument("--campaign", default=None, metavar="PREFIX",
-                               help="campaign fingerprint prefix (default: "
-                                    "the store's only campaign)")
-    p_fab_autopsy.add_argument("--journal", default=None, metavar="PATH",
-                               help="cross-check the splice against this "
-                                    "campaign journal byte-for-byte")
-    p_fab_autopsy.add_argument("--telemetry-log", default=None, metavar="PATH",
-                               help="cross-check the store's audit trail "
-                                    "against this telemetry log (coverage + "
-                                    "final metrics snapshot reconciliation)")
-    p_fab_autopsy.add_argument("--html", default=None, metavar="PATH",
-                               help="write a self-contained HTML timeline "
-                                    "dashboard (one lane per chunk)")
-    # dest avoids the global --obs-db/--telemetry pairing in main():
-    # autopsy lands store rows itself rather than re-ingesting a log.
-    p_fab_autopsy.add_argument("--obs-db", dest="autopsy_obs_db", default=None,
-                               metavar="DB",
-                               help="land the autopsy as obs-store rows "
-                                    "(idempotent per campaign)")
-    p_fab_autopsy.add_argument("--json", action="store_true",
-                               help="emit the machine-readable report")
-    p_fab_autopsy.set_defaults(func=_cmd_fabric)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="fleet observability for fabric campaigns: live multi-process "
-             "board, merged Chrome traces, metrics registry exposition",
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    p_fleet_board = fleet_sub.add_parser(
-        "board",
-        help="follow the lease store plus every worker telemetry log and "
-             "render per-worker health lanes under the live status board",
-    )
-    p_fleet_board.add_argument("--store", default="fabric.db", metavar="DB",
-                               help="the campaign's SQLite lease store")
-    p_fleet_board.add_argument("--campaign", default=None, metavar="PREFIX",
-                               help="campaign fingerprint prefix (default: "
-                                    "the store's only campaign)")
-    p_fleet_board.add_argument("--log", action="append", default=[],
-                               metavar="PATH",
-                               help="telemetry log to tail alongside the "
-                                    "store (repeatable)")
-    p_fleet_board.add_argument("--no-auto-logs", action="store_true",
-                               help="do not auto-discover "
-                                    "<store>.<worker>.telemetry.jsonl logs "
-                                    "next to the store")
-    p_fleet_board.add_argument("--epsilon", type=float, default=None,
-                               help="failure budget the conformance SLOs "
-                                    "assume (default: from the stream's "
-                                    "manifest)")
-    p_fleet_board.add_argument("--idle-timeout", type=float, default=10.0,
-                               help="stop after this many seconds without "
-                                    "new records (default 10)")
-    p_fleet_board.add_argument("--interval", type=float, default=0.5,
-                               help="status-board refresh interval in seconds")
-    p_fleet_board.add_argument("--plain", action="store_true",
-                               help="plain status lines instead of the "
-                                    "in-place TTY board")
-    p_fleet_board.add_argument("--gate", action="store_true",
-                               help="exit 1 if any conformance alert fires")
-    p_fleet_board.add_argument("--json", action="store_true",
-                               help="emit the final board + monitor report "
-                                    "as JSON")
-    p_fleet_board.set_defaults(func=_cmd_fleet)
-
-    p_fleet_trace = fleet_sub.add_parser(
-        "trace",
-        help="merge coordinator + per-worker telemetry logs into one "
-             "Chrome/Perfetto trace with a process lane per worker",
-    )
-    p_fleet_trace.add_argument("logs", nargs="+",
-                               help="telemetry logs; worker ids are parsed "
-                                    "from <store>.<worker>.telemetry.jsonl "
-                                    "names, other logs land on the "
-                                    "coordinator lane")
-    p_fleet_trace.add_argument("--out", required=True, metavar="PATH",
-                               help="where to write the merged trace JSON")
-    p_fleet_trace.set_defaults(func=_cmd_fleet)
-
-    p_fleet_metrics = fleet_sub.add_parser(
-        "metrics",
-        help="reconstruct the metrics registry from 'metrics' snapshot "
-             "records and print the Prometheus text exposition",
-    )
-    p_fleet_metrics.add_argument("logs", nargs="+",
-                                 help="telemetry logs holding 'metrics' "
-                                      "snapshot records (later snapshots "
-                                      "overwrite earlier series)")
-    p_fleet_metrics.add_argument("--prom", default=None, metavar="PATH",
-                                 help="write the exposition to PATH instead "
-                                      "of stdout")
-    p_fleet_metrics.add_argument("--json", action="store_true",
-                                 help="emit the merged snapshot as JSON")
-    p_fleet_metrics.set_defaults(func=_cmd_fleet)
-
-    p_tower = sub.add_parser(
-        "tower",
-        help="long-running observability gateway: live telemetry over SSE, "
-             "Prometheus /metrics, run history + dashboard from an obs "
-             "store, and alert webhooks with a dead-letter journal",
-    )
-    p_tower.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_tower.add_argument("--port", type=int, default=0,
-                         help="bind port (default 0 = ephemeral; the bound "
-                              "port is printed and written to --port-file)")
-    p_tower.add_argument("--port-file", default=None, metavar="PATH",
-                         help="write the bound port here once listening")
-    # dest dodges the global --obs-db/--telemetry pairing in main():
-    # the tower reads the store, it does not ingest a log into it.
-    p_tower.add_argument("--obs-db", dest="tower_obs_db", default=None,
-                         metavar="DB",
-                         help="obs store backing /runs, /trend and "
-                              "/dashboard (read-only, WAL-safe alongside "
-                              "concurrent ingests)")
-    p_tower.add_argument("--follow", action="append", default=[],
-                         metavar="PATH",
-                         help="telemetry log or directory of logs to tail "
-                              "into /stream (repeatable; directories are "
-                              "rescanned live, so worker logs that appear "
-                              "later are picked up)")
-    p_tower.add_argument("--pattern", default="*.jsonl", metavar="GLOB",
-                         help="log filename glob for --follow directories "
-                              "(default *.jsonl)")
-    p_tower.add_argument("--webhook", action="append", default=[],
-                         metavar="URL",
-                         help="POST every alert record to this http:// URL "
-                              "(repeatable; seeded-jitter retries, failures "
-                              "land in the dead-letter journal)")
-    p_tower.add_argument("--dead-letter", default=None, metavar="PATH",
-                         help="JSONL journal for alerts that exhausted "
-                              "their webhook retries (replayed by POST "
-                              "/webhooks/drain)")
-    p_tower.add_argument("--queue-size", type=int, default=256,
-                         help="per-client SSE queue bound; a slower "
-                              "consumer drops records (with an in-stream "
-                              "gap marker) instead of stalling anyone "
-                              "(default 256)")
-    p_tower.add_argument("--heartbeat", type=float, default=15.0,
-                         help="idle seconds between SSE keepalive comments "
-                              "(default 15)")
-    p_tower.add_argument("--poll-interval", type=float, default=0.2,
-                         help="--follow tail poll interval in seconds "
-                              "(default 0.2)")
-    p_tower.set_defaults(func=_cmd_tower)
 
     p_game = sub.add_parser("game", help="foil a hitting-game strategy")
     add_common(p_game)
@@ -1990,7 +1317,7 @@ def main(argv: list[str] | None = None) -> int:
     previous_provenance = os.environ.get("REPRO_PROVENANCE")
     if wants_provenance:
         os.environ["REPRO_PROVENANCE"] = "1"
-    # --perf similarly rides on REPRO_PERF so pool/fabric workers sample
+    # --perf similarly rides on REPRO_PERF so pool workers sample
     # themselves; the parent session is made ambient around dispatch and
     # its records land in the telemetry stream before the log closes.
     wants_perf = getattr(args, "perf", False)

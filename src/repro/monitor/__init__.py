@@ -32,7 +32,6 @@ from repro.monitor.conformance import (
     ConformanceChecker,
     ConformanceMonitor,
     DecaySuccessChecker,
-    FleetLeaseChecker,
     MonitorConfig,
     OmegaFloorChecker,
     RunIndex,
@@ -50,7 +49,6 @@ __all__ = [
     "ConformanceChecker",
     "ConformanceMonitor",
     "DecaySuccessChecker",
-    "FleetLeaseChecker",
     "LiveMonitor",
     "MonitorConfig",
     "MonitorReport",

@@ -6,20 +6,13 @@ The output follows the Trace Event Format's *JSON object* flavour —
 
 * ``span`` records and ``run_begin``/``run_end`` pairs become complete
   slices (``ph: "X"`` with microsecond ``ts``/``dur``),
-* ``phase``, ``fault``, ``chaos_trial``, ``alert``, ``lease`` and
-  ``worker`` records become instants (``ph: "i"``) with their payload
-  in ``args`` — so fence rejections, takeovers, and worker kills are
-  visible instants on the lane of the worker they happened to,
+* ``phase``, ``fault``, ``chaos_trial`` and ``alert`` records become
+  instants (``ph: "i"``) with their payload in ``args``,
 * ``counter``/``gauge``/``progress`` records become counter tracks
-  (``ph: "C"``), and fleet ``metrics`` snapshots expand into one track
-  per registered metric,
+  (``ph: "C"``),
 * chunk-tagged worker records are placed on their own thread lane, so
   a parallel campaign renders as one swimlane per chunk under a single
-  process, with ``M`` metadata events naming the lanes,
-* records stamped with a fabric ``worker`` id land in a **per-worker
-  process lane** (their own ``pid``), so a fleet campaign merged from
-  N per-worker telemetry logs (see :func:`merge_records`) renders as
-  one process per worker plus the coordinating process.
+  process, with ``M`` metadata events naming the lanes.
 
 Timestamps are rebased to the first record so traces start at t=0; all
 values are microseconds, as the format requires.
@@ -30,22 +23,20 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_events",
-    "merge_records",
     "write_chrome_trace",
     "validate_chrome_trace",
 ]
 
-_PID = 1  # the coordinating process; fabric workers get pids 2, 3, ...
+_PID = 1
 _MAIN_TID = 0
 
 _INSTANT_KINDS = {"phase", "fault", "chaos_trial", "alert", "campaign_begin",
-                  "campaign_end", "manifest", "lease", "worker",
-                  "fabric_begin", "fabric_end"}
+                  "campaign_end", "manifest"}
 _COUNTER_KINDS = {"counter", "gauge", "progress"}
 
 
@@ -80,10 +71,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     timestamps = [ts for r in records if (ts := _ts_of(r)) is not None]
     base = min(timestamps) if timestamps else 0.0
     events: list[dict[str, Any]] = []
-    lanes: set[tuple[int, int]] = set()
-    # Fabric worker id -> process lane, allocated in order of first
-    # appearance (deterministic for a ts-sorted merged stream).
-    worker_pids: dict[str, int] = {}
+    lanes: set[int] = set()
     # run_begin records indexed so run_end can close the slice; keyed the
     # same way the conformance RunIndex keys runs: (chunk, run).
     open_runs: dict[tuple[Any, Any], dict[str, Any]] = {}
@@ -91,24 +79,13 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     def rel(ts: float) -> int:
         return _micros(ts - base)
 
-    def pid_of(record: dict[str, Any]) -> int:
-        worker = record.get("worker")
-        if not isinstance(worker, str) or not worker:
-            return _PID
-        pid = worker_pids.get(worker)
-        if pid is None:
-            pid = _PID + 1 + len(worker_pids)
-            worker_pids[worker] = pid
-        return pid
-
     for record in records:
         ts = _ts_of(record)
         if ts is None:
             continue
         kind = record.get("kind")
-        pid = pid_of(record)
         tid = _tid_of(record)
-        lanes.add((pid, tid))
+        lanes.add(tid)
         if kind == "span":
             dur = record.get("dur_s")
             if isinstance(dur, bool) or not isinstance(dur, (int, float)):
@@ -120,7 +97,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "ph": "X",
                 "ts": rel(ts - dur),
                 "dur": max(1, _micros(dur)),
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": _args_of(record),
             })
@@ -146,7 +123,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "ph": "X",
                 "ts": rel(begin_ts),
                 "dur": max(1, rel(ts) - rel(begin_ts)),
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": args,
             })
@@ -161,7 +138,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "ph": "X",
                 "ts": rel(ts - wall),
                 "dur": max(1, _micros(wall)),
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": _args_of(record),
             })
@@ -177,28 +154,10 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "cat": kind,
                 "ph": "C",
                 "ts": rel(ts),
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": {name: value},
             })
-        elif kind == "metrics":
-            # A fleet registry snapshot: one counter track per metric,
-            # carrying the label-summed scalar.
-            snapshot = record.get("snapshot")
-            if not isinstance(snapshot, dict):
-                continue
-            from repro.fleet.metrics import snapshot_totals
-
-            for metric, total in sorted(snapshot_totals(snapshot).items()):
-                events.append({
-                    "name": metric,
-                    "cat": "metrics",
-                    "ph": "C",
-                    "ts": rel(ts),
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {metric: total},
-                })
         elif kind in _INSTANT_KINDS:
             name = str(kind)
             if kind == "phase":
@@ -207,17 +166,13 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 name = f"alert:{record.get('rule', '?')}"
             elif kind == "chaos_trial":
                 name = f"chaos:{record.get('arm', '?')}"
-            elif kind == "lease":
-                name = f"lease:{record.get('event', '?')}"
-            elif kind == "worker":
-                name = f"worker:{record.get('event', '?')}"
             events.append({
                 "name": name,
                 "cat": str(kind),
                 "ph": "i",
                 "s": "t",  # thread-scoped instant
                 "ts": rel(ts),
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": _args_of(record),
             })
@@ -233,7 +188,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "ph": "i",
             "s": "t",
             "ts": rel(begin_ts),
-            "pid": pid_of(begin),
+            "pid": _PID,
             "tid": _tid_of(begin),
             "args": _args_of(begin),
         })
@@ -245,48 +200,16 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         "tid": _MAIN_TID,
         "args": {"name": "repro campaign"},
     }]
-    for worker, pid in sorted(worker_pids.items(), key=lambda kv: kv[1]):
-        metadata.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": _MAIN_TID,
-            "args": {"name": f"worker {worker}"},
-        })
-    for pid, tid in sorted(lanes):
+    for tid in sorted(lanes):
         label = "main" if tid == _MAIN_TID else f"chunk {tid - 1}"
         metadata.append({
             "name": "thread_name",
             "ph": "M",
-            "pid": pid,
+            "pid": _PID,
             "tid": tid,
             "args": {"name": label},
         })
     return metadata + events
-
-
-def merge_records(
-    streams: Mapping[str, Sequence[dict[str, Any]]]
-) -> list[dict[str, Any]]:
-    """Merge per-process telemetry streams into one ts-sorted stream.
-
-    ``streams`` maps a lane label (e.g. a fabric worker id, or ``""``
-    for the coordinator) to that process's decoded records.  Records
-    from a labelled stream that do not already carry a ``worker`` field
-    are stamped with the label, so :func:`chrome_trace_events` places
-    them on that worker's process lane.  The sort is stable on the
-    timestamp, so same-ts records keep their per-stream order.
-    """
-    merged: list[dict[str, Any]] = []
-    for label, records in streams.items():
-        for record in records:
-            if not isinstance(record, dict):
-                continue
-            if label and "worker" not in record:
-                record = dict(record, worker=label)
-            merged.append(record)
-    merged.sort(key=lambda r: ts if (ts := _ts_of(r)) is not None else 0.0)
-    return merged
 
 
 def chrome_trace(records: list[dict[str, Any]]) -> dict[str, Any]:

@@ -68,7 +68,6 @@ __all__ = [
     "OmegaFloorChecker",
     "AccountingChecker",
     "ChaosInvariantChecker",
-    "FleetLeaseChecker",
     "ConformanceMonitor",
     "default_checkers",
 ]
@@ -523,44 +522,6 @@ class ChaosInvariantChecker(ConformanceChecker):
         ]
 
 
-class FleetLeaseChecker(ConformanceChecker):
-    """Fleet lane: every lease takeover surfaces as a warning alert.
-
-    A takeover is the fabric working as designed — a chunk whose owner
-    stopped heartbeating got rescued — but it always means a worker
-    died, stalled past its lease TTL, or lost its machine, so operators
-    watching the relay (``python -m repro tower``'s ``/stream``,
-    webhook receivers) want it pushed, not discovered in a post-mortem
-    autopsy.  Fires once per takeover event, not latched: three dead
-    workers are three alerts.
-    """
-
-    rule = "fleet-takeover"
-
-    def __init__(self, config: MonitorConfig | None = None) -> None:
-        super().__init__(config)
-        self.takeovers = 0
-
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
-        if record.get("kind") != "lease" or record.get("event") != "takeover":
-            return []
-        self.takeovers += 1
-        index = record.get("index")
-        worker = record.get("worker") or "?"
-        detail = record.get("detail") or "expired lease"
-        return [
-            Alert(
-                rule=self.rule,
-                severity=SEVERITY_WARNING,
-                message=(
-                    f"lease takeover #{self.takeovers}: chunk "
-                    f"{index} reclaimed by {worker} ({detail})"
-                ),
-                value=float(index) if isinstance(index, (int, float)) else None,
-            )
-        ]
-
-
 class ConformanceMonitor:
     """Feed a telemetry stream through a set of checkers."""
 
@@ -633,5 +594,4 @@ def default_checkers(
             checkers.append(OmegaFloorChecker(config))
     checkers.append(ChaosInvariantChecker(config))
     checkers.append(AccountingChecker(config))
-    checkers.append(FleetLeaseChecker(config))
     return checkers

@@ -68,14 +68,11 @@ class LiveMonitor:
         self,
         config: MonitorConfig,
         *,
-        board: StatusBoard | None = None,
         renderer_factory: Callable[[StatusBoard], BoardRenderer] | None = None,
         emit_alert: Callable[[Alert], None] | None = None,
     ) -> None:
         self.config = config
-        # An injected board lets the fleet front end reuse the same SLO
-        # gates with per-worker lanes (repro.fleet.board.FleetBoard).
-        self.board = board if board is not None else StatusBoard()
+        self.board = StatusBoard()
         self.renderer = renderer_factory(self.board) if renderer_factory else None
         self._emit_alert = emit_alert
         # Epsilon pinned on the CLI wins; otherwise the stream's own

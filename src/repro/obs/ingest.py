@@ -123,25 +123,10 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
         metrics["campaign_timeouts"] = campaigns["timeouts"]
     for name, entry in summary["spans"].items():
         metrics[f"span.{name}.total_s"] = entry["total_s"]
-    # Fleet aggregates (PR 5/7 record kinds): fabric lease audit,
-    # worker fleet size, alert/chaos volume, last registry snapshot.
-    fleet = summary.get("fleet") or {}
-    if fleet.get("alerts"):
-        metrics["alerts"] = fleet["alerts"]
-    if fleet.get("chaos_trials"):
-        metrics["chaos_trials"] = fleet["chaos_trials"]
-    if fleet.get("fabric_runs"):
-        metrics["fabric.runs"] = fleet["fabric_runs"]
-        metrics["fabric.wall_s"] = fleet["fabric_wall_s"]
-        metrics["fabric.chunks"] = fleet["fabric_chunks"]
-    if fleet.get("lease_events"):
-        metrics["fabric.workers"] = len(fleet.get("workers", []))
-        metrics["fabric.takeovers"] = fleet.get("takeovers", 0)
-        metrics["fabric.fence_rejects"] = fleet.get("fence_rejects", 0)
-        for event, count in fleet["lease_events"].items():
-            metrics[f"fabric.lease.{event}"] = count
-    for name, total in fleet.get("metrics_totals", {}).items():
-        metrics[f"fleet.{name}"] = total
+    if summary["alerts"]:
+        metrics["alerts"] = summary["alerts"]
+    if summary["chaos_trials"]:
+        metrics["chaos_trials"] = summary["chaos_trials"]
     # Performance plane (repro.perf + the cProfile hook): sampled
     # volume, per-span attributed cost, and `perf.hotspot.*` rows from
     # `--profile` events (previously dropped on ingest).

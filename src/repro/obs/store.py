@@ -104,8 +104,8 @@ class RunStore:
     """Open (creating if needed) the run store at ``path``.
 
     The store is opened in WAL journal mode with a busy timeout so
-    several processes can ingest concurrently (e.g. parallel CI legs or
-    fabric workers sharing one database): WAL lets readers proceed
+    several processes can ingest concurrently (e.g. parallel CI legs
+    sharing one database): WAL lets readers proceed
     under a writer, and the busy timeout makes competing writers queue
     instead of failing with ``database is locked``.  Ingest stays
     idempotent under that concurrency — ``upsert_run`` runs in one

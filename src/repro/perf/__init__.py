@@ -18,18 +18,17 @@ Three pieces, all stdlib-only:
   are **attributed to spans**: :func:`perf_span` (or
   ``Telemetry.span``, which forwards automatically) labels the running
   thread, and every sample taken while the label is live is credited
-  to it — per engine slot-batch, Decay phase, vectorized kernel, pool
-  chunk, and fabric worker.
+  to it — per engine slot-batch, Decay phase, vectorized kernel, and
+  pool chunk.
 * :mod:`repro.perf.flame` — a deterministic, self-contained (no
   scripts, no timestamps, no randomness) **flamegraph HTML** renderer
   over folded stacks, plus folded-profile parsing/merging/diffing for
   ``perf flame`` / ``perf diff`` and the bench regression gate.
 
 Cross-process: ``REPRO_PERF=<hz>`` in the environment asks pool
-workers (:mod:`repro.parallel`) and fabric workers
-(:mod:`repro.fabric.worker`) to sample themselves; their ``perf_*``
-records ship back / land in worker logs exactly like the rest of the
-telemetry stream and are merged chunk-tagged.
+workers (:mod:`repro.parallel`) to sample themselves; their ``perf_*``
+records ship back exactly like the rest of the telemetry stream and
+are merged chunk-tagged.
 """
 
 from repro.perf.core import (

@@ -21,8 +21,7 @@ A session owns:
 ``Telemetry.span`` forwards its block into :func:`span_push` /
 :func:`span_pop` (see :mod:`repro.telemetry.core`), so existing
 telemetry spans become perf attribution points for free; the engine,
-the vectorized kernels, the pool, and the fabric add their own labels
-directly.
+the vectorized kernels and the pool add their own labels directly.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
 DEFAULT_HZ = 97
 
 #: Environment gate: set to the sampling hz to ask subprocesses (pool
-#: workers, fabric workers) to profile themselves.  Empty/``0`` = off.
+#: workers) to profile themselves.  Empty/``0`` = off.
 ENV_VAR = "REPRO_PERF"
 
 

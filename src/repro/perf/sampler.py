@@ -12,8 +12,8 @@ out of the same aggregation that feeds the flamegraph.
 Safety properties the rest of the repo relies on:
 
 * **No signal handlers.**  Sampling rides a plain
-  ``threading.Event.wait`` loop, so it composes with SIGTERM draining
-  in fabric workers and never interrupts syscalls in the program.
+  ``threading.Event.wait`` loop, so it composes with the program's own
+  signal handling and never interrupts syscalls in the program.
 * **Never raises into the program.**  A thread that exits between
   ``sys._current_frames()`` and the stack walk is simply skipped.
 * **Idempotent start/stop.**  ``start()`` on a running sampler and

@@ -53,17 +53,8 @@ KINDS: dict[str, frozenset[str]] = {
     "progress": frozenset({"done", "total", "elapsed_s"}),
     # chaos layer: one record per adversarial trial (arm, verdict)
     "chaos_trial": frozenset({"arm", "seed", "success"}),
-    # fabric layer (repro.fabric): multi-process campaign lifecycle
-    "fabric_begin": frozenset({"spec", "workers", "chunks"}),
-    "fabric_end": frozenset({"chunks", "wall_s"}),
-    # worker lifecycle transition (start/exit/fault) in the fabric
-    "worker": frozenset({"worker", "event"}),
-    # lease-store event (claim/takeover/commit/fence_reject)
-    "lease": frozenset({"event", "index"}),
     # conformance monitor (repro.monitor): a theorem-bound SLO fired
     "alert": frozenset({"rule", "severity", "message"}),
-    # fleet metrics registry snapshot (repro.fleet.metrics)
-    "metrics": frozenset({"snapshot"}),
     # profiling hook
     "profile": frozenset({"top"}),
     # sampling profiler (repro.perf): folded-stack capture + per-span cost
@@ -102,10 +93,6 @@ _NUMERIC = frozenset(
         "violations",
         "informed",
         "epsilon",
-        "fence",
-        "workers",
-        "takeovers",
-        "fence_rejects",
         "samples",
         "hz",
         "secs",

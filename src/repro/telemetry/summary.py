@@ -220,44 +220,6 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
     campaign_ends = [r for r in records if r["kind"] == "campaign_end"]
     progress = [r for r in records if r["kind"] == "progress"]
 
-    # Fleet rollup (PR 5/7 record kinds): the fabric's lease audit
-    # trail, worker lifecycle, alert and chaos volumes, plus the last
-    # metrics-registry snapshot, reduced to label-summed totals.
-    lease_events: dict[str, int] = {}
-    fleet_workers: set[str] = set()
-    for record in records:
-        kind = record["kind"]
-        if kind == "lease":
-            event = str(record["event"])
-            lease_events[event] = lease_events.get(event, 0) + 1
-            worker = record.get("worker")
-            if isinstance(worker, str) and worker:
-                fleet_workers.add(worker)
-        elif kind == "worker":
-            fleet_workers.add(str(record["worker"]))
-    fabric_ends = [r for r in records if r["kind"] == "fabric_end"]
-    metrics_snapshots = [r for r in records if r["kind"] == "metrics"]
-    metrics_totals: dict[str, float] = {}
-    if metrics_snapshots:
-        from repro.fleet.metrics import snapshot_totals
-
-        snapshot = metrics_snapshots[-1].get("snapshot")
-        if isinstance(snapshot, dict):
-            metrics_totals = snapshot_totals(snapshot)
-    fleet = {
-        "lease_events": dict(sorted(lease_events.items())),
-        "workers": sorted(fleet_workers),
-        "takeovers": lease_events.get("takeover", 0),
-        "fence_rejects": lease_events.get("fence_reject", 0),
-        "fabric_runs": len(fabric_ends),
-        "fabric_wall_s": sum(r["wall_s"] for r in fabric_ends),
-        "fabric_chunks": sum(r["chunks"] for r in fabric_ends),
-        "alerts": sum(1 for r in records if r["kind"] == "alert"),
-        "chaos_trials": sum(1 for r in records if r["kind"] == "chaos_trial"),
-        "metrics_snapshots": len(metrics_snapshots),
-        "metrics_totals": dict(sorted(metrics_totals.items())),
-    }
-
     # Performance plane (repro.perf + the cProfile hook): sampled
     # folded-stack captures, span-attributed cost, and cProfile hotspot
     # rows, merged across the log (worker captures ship back as extra
@@ -310,6 +272,8 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
         "phases": phase_summary,
         "chunks": chunk_summary,
         "faults": sum(1 for r in records if r["kind"] == "fault"),
+        "alerts": sum(1 for r in records if r["kind"] == "alert"),
+        "chaos_trials": sum(1 for r in records if r["kind"] == "chaos_trial"),
         "counters": counters,
         "gauges": gauges,
         "spans": spans,
@@ -319,7 +283,6 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
             "retries": sum(c.get("retries", 0) for c in campaign_ends),
             "timeouts": sum(c.get("timeouts", 0) for c in campaign_ends),
         },
-        "fleet": fleet,
         "perf": perf,
         "last_progress": progress[-1] if progress else None,
     }
@@ -421,35 +384,6 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
         for name, entry in sorted(summary["spans"].items()):
             span_table.add_row(name, entry["count"], entry["total_s"])
         tables.append(span_table)
-
-    fleet = summary.get("fleet") or {}
-    if fleet.get("lease_events") or fleet.get("fabric_runs"):
-        fleet_table = Table(
-            "Fleet (fabric lease audit + registry totals)",
-            ["workers", "claims", "commits", "takeovers", "fence_rejects",
-             "fabric_runs", "alerts", "chaos_trials"],
-        )
-        lease_events = fleet.get("lease_events", {})
-        fleet_table.add_row(
-            len(fleet.get("workers", [])),
-            lease_events.get("claim", 0),
-            lease_events.get("commit", 0),
-            fleet.get("takeovers", 0),
-            fleet.get("fence_rejects", 0),
-            fleet.get("fabric_runs", 0),
-            fleet.get("alerts", 0),
-            fleet.get("chaos_trials", 0),
-        )
-        tables.append(fleet_table)
-        totals = fleet.get("metrics_totals", {})
-        if totals:
-            totals_table = Table(
-                "Fleet metrics (last registry snapshot, label-summed)",
-                ["metric", "total"],
-            )
-            for name, value in sorted(totals.items()):
-                totals_table.add_row(name, value)
-            tables.append(totals_table)
 
     perf = summary.get("perf") or {}
     if perf.get("profiles") or perf.get("hotspots"):

@@ -312,6 +312,32 @@ class TestTornJournalRecovery:
         for line in journal.read_bytes().splitlines():
             json.loads(line)  # every line is whole again
 
+    def test_empty_journal_resumes_as_fresh_campaign(self, tmp_path):
+        # A kill between the header write's truncate and its write.
+        journal, items, full = self._write_full(tmp_path)
+        original = journal.read_bytes()
+        journal.write_bytes(b"")
+        resumed = resilient_map(
+            _square, items, jobs=1, chunksize=2, journal=journal, resume=True
+        )
+        assert pickle.dumps(resumed) == pickle.dumps(full)
+        assert journal.read_bytes() == original
+
+    def test_torn_header_resumes_as_fresh_campaign(self, tmp_path):
+        # A kill mid-way through the header write, at any byte of it.
+        journal, items, full = self._write_full(tmp_path)
+        original = journal.read_bytes()
+        header_end = original.index(b"\n") + 1
+        for cut in range(1, header_end):
+            journal.write_bytes(original[:cut])
+            resumed = resilient_map(
+                _square, items, jobs=1, chunksize=2, journal=journal, resume=True
+            )
+            assert pickle.dumps(resumed) == pickle.dumps(full), (
+                f"header sliced at byte {cut} broke resume"
+            )
+            assert journal.read_bytes() == original
+
     def test_midfile_corruption_refuses_to_guess(self, tmp_path):
         journal, items, _ = self._write_full(tmp_path)
         lines = journal.read_text().splitlines()

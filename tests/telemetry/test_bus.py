@@ -91,9 +91,9 @@ class TestDisabledPath:
 
 
 class TestConcurrentShipBack:
-    """Satellite: the bus under concurrent worker ship-back — fabric
-    event forwarding, resilient_map callbacks, and heartbeat threads
-    all write through one recorder from different threads."""
+    """Satellite: the bus under concurrent worker ship-back —
+    resilient_map callbacks and heartbeat threads both write through
+    one recorder from different threads."""
 
     def _hammer(self, tel, threads=4, per_thread=200):
         import threading

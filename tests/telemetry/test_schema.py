@@ -29,6 +29,10 @@ class TestValidateRecord:
     def test_unknown_kind(self):
         errors = validate_record({"kind": "mystery", "ts": 1.0})
         assert any("unknown kind" in e for e in errors)
+        # Kinds only the removed multi-worker campaign runner wrote.
+        for kind in ("fabric_begin", "fabric_end", "worker", "lease", "metrics"):
+            errors = validate_record({"kind": kind, "ts": 1.0})
+            assert errors == [f"unknown kind {kind!r}"]
 
     def test_missing_required_fields_named(self):
         errors = validate_record({"kind": "run_end", "ts": 1.0, "run": "r1"})
