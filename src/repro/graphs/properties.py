@@ -71,10 +71,39 @@ def eccentricity(g: Graph, source: Node) -> int:
 
 
 def diameter(g: Graph) -> int:
-    """Largest hop distance between any node pair (all-sources BFS)."""
-    if g.num_nodes() == 0:
+    """Largest hop distance between any node pair.
+
+    All sources at once, on node indices: node ``i`` (in ``g.nodes``
+    order) starts with the bitset ball ``1 << i``, and each round ORs
+    every successor's ball into its own, so after round ``k`` ball ``i``
+    holds the nodes within ``k`` hops of ``i`` following message flow.
+    The first round that changes no ball ends the fixpoint, and the
+    rounds before it are the diameter.  A ball that is not full then
+    means some node is unreachable from that source; the error names
+    the first such node, as :func:`eccentricity` would.
+    """
+    nodes = g.nodes
+    if not nodes:
         raise GraphError("diameter of the empty graph is undefined")
-    return max(eccentricity(g, node) for node in g.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    succ = [[index[nbr] for nbr in _successors(g, node)] for node in nodes]
+    ball = [1 << i for i in range(len(nodes))]
+    rounds = 0
+    while True:
+        grown = []
+        for own, nbrs in zip(ball, succ):
+            for j in nbrs:
+                own |= ball[j]
+            grown.append(own)
+        if grown == ball:
+            break
+        ball = grown
+        rounds += 1
+    full = (1 << len(nodes)) - 1
+    for node, reach in zip(nodes, ball):
+        if reach != full:
+            raise GraphError(f"graph is not connected from {node!r}")
+    return rounds
 
 
 def is_connected(g: Graph) -> bool:

@@ -80,7 +80,12 @@ class DFSBroadcastProgram(NodeProgram):
         if not (isinstance(heard, tuple) and heard and heard[0] == _TOKEN):
             return
         _tag, target, visited, sender, _payload = heard
-        self.visited = frozenset(self.visited | visited)
+        # The walk's visited set only grows, so the heard set usually
+        # covers ours: keep it by reference instead of copying.
+        if self.visited <= visited:
+            self.visited = visited
+        else:
+            self.visited = self.visited | visited
         if target == ctx.node:
             self.has_token = True
             self._done = False  # a backtrack returns the token to us

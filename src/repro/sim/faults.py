@@ -245,9 +245,16 @@ class FaultSchedule:
                     f"fault {fault!r} targets node {node!r}, which is not in the graph"
                 )
 
-        for edge_fault in self.edge_faults:
-            require(edge_fault.u, edge_fault)
-            require(edge_fault.v, edge_fault)
+        edge_faults = self.edge_faults
+        # Set checks first (mobility schedules run to tens of thousands of
+        # faults); walk the list only to name the first bad fault.
+        if not (
+            {fault.u for fault in edge_faults} <= nodes
+            and {fault.v for fault in edge_faults} <= nodes
+        ):
+            for edge_fault in edge_faults:
+                require(edge_fault.u, edge_fault)
+                require(edge_fault.v, edge_fault)
         for crash in self.crash_faults:
             require(crash.node, crash)
         for jam in self.jam_faults:

@@ -113,6 +113,25 @@ class RandomWaypointModel:
                     budget = 0.0
 
 
+def _in_range_keys(positions: dict[Node, Position], radius: float) -> set[int]:
+    """The unit-disk pairs of a snapshot as ints ``i * n + j`` (``i < j``,
+    nodes indexed in ``positions`` order)."""
+    coords = list(positions.values())
+    n = len(coords)
+    r2 = radius * radius
+    keys: set[int] = set()
+    # ``** 2``, not ``x * x``: the two round differently on some doubles,
+    # and that would flip edges at distance ~radius.
+    for i, (ux, uy) in enumerate(coords):
+        base = i * n
+        keys.update(
+            base + j
+            for j in range(i + 1, n)
+            if (ux - coords[j][0]) ** 2 + (uy - coords[j][1]) ** 2 <= r2
+        )
+    return keys
+
+
 def edges_for_positions(
     positions: dict[Node, Position], radius: float
 ) -> set[frozenset]:
@@ -120,15 +139,11 @@ def edges_for_positions(
     if radius <= 0:
         raise SimulationError("radius must be positive")
     nodes = list(positions)
-    r2 = radius * radius
-    edges: set[frozenset] = set()
-    for i, u in enumerate(nodes):
-        ux, uy = positions[u]
-        for v in nodes[i + 1 :]:
-            vx, vy = positions[v]
-            if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
-                edges.add(frozenset((u, v)))
-    return edges
+    n = len(nodes)
+    return {
+        frozenset((nodes[key // n], nodes[key % n]))
+        for key in _in_range_keys(positions, radius)
+    }
 
 
 def mobility_fault_schedule(
@@ -143,27 +158,37 @@ def mobility_fault_schedule(
 
     ``protected`` edges (e.g. a backbone kept connected, mirroring the
     paper's proviso) are never removed even when their endpoints drift
-    out of range.  The model is advanced in place.
+    out of range.  The model is advanced in place.  Within a slot the
+    removals come before the adds, each in node-index order.
     """
+    if radius <= 0:
+        raise SimulationError("radius must be positive")
     if horizon < 0:
         raise SimulationError("horizon must be non-negative")
     if resample_every < 1:
         raise SimulationError("resample_every must be >= 1")
-    protected_set = set(protected)
-    current = edges_for_positions(model.positions, radius)
+    nodes = list(model.positions)
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    protected_keys: set[int] = set()
+    for edge in protected:
+        ends = sorted(index[node] for node in edge if node in index)
+        if len(edge) == 2 and len(ends) == 2:
+            protected_keys.add(ends[0] * n + ends[1])
+    current = _in_range_keys(model.positions, radius)
     faults: list[EdgeFault] = []
     slot = 0
     while slot + resample_every <= horizon:
         model.step(resample_every)
         slot += resample_every
-        nxt = edges_for_positions(model.positions, radius)
-        for gone in current - nxt:
-            if gone in protected_set:
-                continue
-            u, v = tuple(gone)
-            faults.append(EdgeFault(slot=slot, u=u, v=v, kind="remove"))
-        for new in nxt - current:
-            u, v = tuple(new)
-            faults.append(EdgeFault(slot=slot, u=u, v=v, kind="add"))
-        current = (nxt | (current & protected_set))
+        nxt = _in_range_keys(model.positions, radius)
+        for kind, changed in (
+            ("remove", current - nxt - protected_keys),
+            ("add", nxt - current),
+        ):
+            faults += [
+                EdgeFault(slot, nodes[key // n], nodes[key % n], kind)
+                for key in sorted(changed)
+            ]
+        current = nxt | (current & protected_keys)
     return FaultSchedule(edge_faults=faults)

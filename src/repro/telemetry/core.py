@@ -37,9 +37,8 @@ import platform
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from repro._version import __version__
 from repro.perf import core as _perf_core
@@ -47,7 +46,6 @@ from repro.telemetry.schema import SCHEMA, SCHEMA_VERSION
 
 __all__ = [
     "Telemetry",
-    "TraceContext",
     "get_active",
     "set_active",
     "activate",
@@ -65,76 +63,6 @@ DEFAULT_SLOT_BATCH = 256
 #: The ambient recorder; ``None`` means telemetry is disabled and every
 #: fast helper below is a no-op.
 _ACTIVE: "Telemetry | None" = None
-
-#: Environment variables carrying a trace context into a subprocess.
-ENV_TRACE_ID = "REPRO_TRACE_ID"
-ENV_TRACE_PARENT = "REPRO_TRACE_PARENT"
-
-
-def _trace_digest(*parts: str) -> str:
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part.encode("utf-8"))
-        hasher.update(b"\x1f")
-    return hasher.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """One span's identity within a campaign-level trace.
-
-    Ids are derived, not drawn: the trace id is a digest of the campaign
-    fingerprint and span ids are digests of ``(trace id, span name)``,
-    so a resumed campaign lands in the same trace and no RNG stream is
-    consumed.  Installed on a recorder with :meth:`Telemetry.set_trace`,
-    it stamps every record with ``trace``/``span`` (and ``parent``).
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
-    name: str = ""
-
-    @classmethod
-    def root(cls, campaign: str, *, name: str = "coordinator") -> "TraceContext":
-        """The campaign's root span, derived from its fingerprint."""
-        trace_id = _trace_digest("trace", campaign)
-        return cls(trace_id, _trace_digest(trace_id, name), None, name)
-
-    def child(self, name: str) -> "TraceContext":
-        """A child span of this one."""
-        return TraceContext(
-            self.trace_id, _trace_digest(self.trace_id, name), self.span_id, name
-        )
-
-    def to_env(self, env: dict[str, str] | None = None) -> dict[str, str]:
-        """Write the propagation variables into ``env`` (or a new dict)."""
-        target = env if env is not None else {}
-        target[ENV_TRACE_ID] = self.trace_id
-        target[ENV_TRACE_PARENT] = self.span_id
-        return target
-
-    @classmethod
-    def from_env(
-        cls, name: str, env: Mapping[str, str] | None = None
-    ) -> "TraceContext | None":
-        """The child context a subprocess should run under, or ``None``
-        when no trace is being propagated (stamping then stays off)."""
-        source = env if env is not None else os.environ
-        trace_id = source.get(ENV_TRACE_ID)
-        if not trace_id:
-            return None
-        parent = source.get(ENV_TRACE_PARENT) or None
-        return cls(trace_id, _trace_digest(trace_id, name), parent, name)
-
-    def stamp(self, record: dict[str, Any]) -> None:
-        """Tag one record with this span's identity; pre-stamped records
-        (shipped back from a subprocess) keep their own span fields."""
-        record.setdefault("trace", self.trace_id)
-        record.setdefault("span", self.span_id)
-        if self.parent_id is not None:
-            record.setdefault("parent", self.parent_id)
-
 
 class Telemetry:
     """A hierarchical event/metric recorder writing JSON-lines records.
@@ -171,9 +99,6 @@ class Telemetry:
         # unboundedly.
         self._subscribers: tuple[Callable[[dict[str, Any]], None], ...] = ()
         self._dispatch_depth = 0
-        # Trace context (TraceContext): when set, every record is
-        # stamped with trace/span/parent identity.  None = no stamping.
-        self._trace: TraceContext | None = None
         # Serializes writes + subscriber dispatch: worker ship-back can
         # merge records from multiple threads (resilient_map callbacks),
         # and interleaved JSON lines would tear the log.  Reentrant
@@ -211,22 +136,6 @@ class Telemetry:
         """The run id events are being attributed to (engine-managed)."""
         return self._current_run
 
-    @property
-    def trace(self) -> TraceContext | None:
-        """The installed trace context, or ``None`` (no stamping)."""
-        return self._trace
-
-    def set_trace(self, context: TraceContext | None) -> TraceContext | None:
-        """Install (or clear, with ``None``) a trace context.
-
-        While installed, every record written — emitted locally or
-        merged via :meth:`write_record` — is stamped with the context's
-        identity.  Returns the previous context.
-        """
-        previous = self._trace
-        self._trace = context
-        return previous
-
     # -- low-level emission ---------------------------------------------
 
     def emit(self, kind: str, **fields: Any) -> None:
@@ -250,8 +159,6 @@ class Telemetry:
         self._write(record)
 
     def _write(self, record: dict[str, Any]) -> None:
-        if self._trace is not None:
-            self._trace.stamp(record)
         with self._write_lock:
             if self._records is not None:
                 self._records.append(record)

@@ -1,6 +1,8 @@
 """Tests for graph property algorithms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, NodeNotFound
 from repro.graphs import (
@@ -80,6 +82,50 @@ class TestEccentricityAndDiameter:
     def test_empty_graph_diameter(self):
         with pytest.raises(GraphError):
             diameter(Graph())
+
+    def test_long_line_diameter(self):
+        assert diameter(line(256)) == 255
+
+    def test_digraph_diameter_follows_direction(self):
+        cycle = DiGraph(edges=[(0, 1), (1, 2), (2, 0)])
+        assert diameter(cycle) == 2
+        with pytest.raises(GraphError, match="not connected from 1"):
+            diameter(DiGraph(edges=[(0, 1), (1, 2), (2, 1)]))
+
+
+def _spec_diameter(g):
+    """Max over sources of the BFS distances, as the paper defines D."""
+    best = 0
+    for source in g.nodes:
+        dist = distances_from(g, source)
+        if len(dist) != g.num_nodes():
+            raise GraphError(f"graph is not connected from {source!r}")
+        best = max(best, max(dist.values()))
+    return best
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    # A shuffled node order, so node index and label differ.
+    nodes = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=30))
+    kind = draw(st.sampled_from([Graph, DiGraph]))
+    return kind(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=300)
+@given(small_graphs())
+def test_diameter_matches_bfs_spec(g):
+    try:
+        expected = _spec_diameter(g)
+    except GraphError as error:
+        with pytest.raises(GraphError) as excinfo:
+            diameter(g)
+        assert str(excinfo.value) == str(error)
+    else:
+        assert diameter(g) == expected
 
 
 class TestConnectivity:

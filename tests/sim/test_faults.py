@@ -177,6 +177,22 @@ class TestValidateForGraph:
         with pytest.raises(SimulationError, match="not in the graph"):
             schedule.validate_for_graph(line(3))
 
+    def test_error_names_first_bad_edge_fault(self):
+        bad = EdgeFault(slot=2, u=7, v=1, kind="add")
+        schedule = FaultSchedule(
+            edge_faults=[
+                EdgeFault(slot=0, u=0, v=1),
+                EdgeFault(slot=1, u=1, v=2, kind="add"),
+                bad,
+                EdgeFault(slot=3, u=0, v=8),
+            ]
+        )
+        with pytest.raises(SimulationError) as excinfo:
+            schedule.validate_for_graph(line(3))
+        assert str(excinfo.value) == (
+            f"fault {bad!r} targets node 7, which is not in the graph"
+        )
+
 
 class TestRandomEdgeKillSchedule:
     def test_protected_tree_never_killed(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,47 @@ from repro.sim.mobility import (
     edges_for_positions,
     mobility_fault_schedule,
 )
+
+
+def _reference_edges(positions, radius):
+    """The per-pair frozenset unit-disk edge set, as first written."""
+    nodes = list(positions)
+    r2 = radius * radius
+    edges = set()
+    for i, u in enumerate(nodes):
+        ux, uy = positions[u]
+        for v in nodes[i + 1 :]:
+            vx, vy = positions[v]
+            if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
+                edges.add(frozenset((u, v)))
+    return edges
+
+
+def _reference_schedule(model, radius, horizon, resample_every, protected):
+    """The per-pair frozenset diff, as first written: ``(slot, kind, {u, v})``."""
+    protected_set = set(protected)
+    current = _reference_edges(model.positions, radius)
+    faults = []
+    slot = 0
+    while slot + resample_every <= horizon:
+        model.step(resample_every)
+        slot += resample_every
+        nxt = _reference_edges(model.positions, radius)
+        for gone in current - nxt:
+            if gone not in protected_set:
+                faults.append((slot, "remove", gone))
+        for new in nxt - current:
+            faults.append((slot, "add", new))
+        current = nxt | (current & protected_set)
+    return faults
+
+
+def _per_slot(faults):
+    """Per slot, the multiset of ``(kind, {u, v})``."""
+    slots = {}
+    for slot, kind, edge in faults:
+        slots.setdefault(slot, Counter())[(kind, edge)] += 1
+    return slots
 
 
 def make_model(n=12, seed=0, speed=0.05):
@@ -81,6 +123,32 @@ class TestEdgesForPositions:
         with pytest.raises(SimulationError):
             edges_for_positions({0: (0, 0)}, 0)
 
+    def test_pair_at_exactly_radius_is_an_edge(self):
+        positions = {"a": (0.0, 0.0), "b": (0.0, 0.25), "c": (0.5, 0.0)}
+        edges = edges_for_positions(positions, 0.25)
+        assert edges == {frozenset(("a", "b"))}
+        assert edges == _reference_edges(positions, 0.25)
+
+    def test_boundary_pairs_round_like_the_reference(self):
+        # Some libms round x ** 2 and x * x differently in the last bit;
+        # at radius == dx that decides whether the pair is an edge.
+        rng = random.Random(7)
+        dxs = [dx for dx in (rng.random() for _ in range(20000)) if dx**2 != dx * dx]
+        if not dxs:
+            pytest.skip("this libm rounds x ** 2 exactly like x * x")
+        for dx in dxs[:20]:
+            positions = {0: (0.0, 0.0), 1: (dx, 0.0)}
+            assert edges_for_positions(positions, dx) == _reference_edges(positions, dx)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        positions = {f"n{i}": (rng.random(), rng.random()) for i in range(40)}
+        for radius in (0.05, 0.3, 0.42, 2.0):
+            assert edges_for_positions(positions, radius) == _reference_edges(
+                positions, radius
+            )
+
 
 class TestFaultScheduleCompilation:
     def test_schedule_reflects_movement(self):
@@ -113,6 +181,38 @@ class TestFaultScheduleCompilation:
             mobility_fault_schedule(model, 0.4, horizon=-1)
         with pytest.raises(SimulationError):
             mobility_fault_schedule(model, 0.4, horizon=10, resample_every=0)
+        for radius in (0, -0.1):
+            with pytest.raises(SimulationError, match="radius must be positive"):
+                mobility_fault_schedule(model, radius, horizon=10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("speed", [0.005, 0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("resample_every", [1, 8])
+    @pytest.mark.parametrize("protect", [False, True])
+    def test_matches_reference_diff(self, seed, speed, resample_every, protect):
+        from repro.experiments.exp_dynamic import spanning_tree
+
+        g = unit_disk(24, 0.42, random.Random(seed))
+        protected = (
+            {frozenset(e) for e in spanning_tree(g, 0).edges} if protect else set()
+        )
+
+        def model():
+            return RandomWaypointModel(
+                dict(g.positions), random.Random(seed + 50), speed=speed
+            )
+
+        expected = _reference_schedule(model(), 0.42, 96, resample_every, protected)
+        schedule = mobility_fault_schedule(
+            model(), 0.42, 96, resample_every=resample_every, protected=protected
+        )
+        faults = schedule.edge_faults
+        got = [(f.slot, f.kind, frozenset((f.u, f.v))) for f in faults]
+        assert _per_slot(got) == _per_slot(expected)
+        # Slots ascend; within a slot removals come before adds, each in
+        # node-index order (unit_disk labels nodes 0..n-1 in position order).
+        order = [(f.slot, f.kind != "remove", f.u, f.v) for f in faults]
+        assert order == sorted(order) and all(f.u < f.v for f in faults)
 
 
 class TestEndToEndMobileBroadcast:
